@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/modelzoo"
+	"repro/internal/obs"
+	"repro/internal/taxonomy"
+	"repro/internal/workload"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
@@ -127,6 +132,43 @@ func TestRun_UnknownKernelListsValid(t *testing.T) {
 	for _, want := range []string{"vecadd", "dot", "reduce", "matmul", "scan", "stencil"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list kernel %q", err, want)
+		}
+	}
+}
+
+// TestPrintMetricsCrossCheck: -metrics fails when the run's Stats drift
+// from its trace by one on any checked field, naming the metric with both
+// numbers.
+func TestPrintMetricsCrossCheck(t *testing.T) {
+	c, err := taxonomy.LookupString("IMP-II")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	res, err := modelzoo.RunKernel(c, "dot", 64, 4, workload.WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := tr.Events()
+	for _, tc := range []struct {
+		metric string
+		field  func(*machine.Stats) *int64
+	}{
+		{obs.MetricInstructions, func(s *machine.Stats) *int64 { return &s.Instructions }},
+		{obs.MetricALUOps, func(s *machine.Stats) *int64 { return &s.ALUOps }},
+		{obs.MetricMemReads, func(s *machine.Stats) *int64 { return &s.MemReads }},
+		{obs.MetricMemWrites, func(s *machine.Stats) *int64 { return &s.MemWrites }},
+		{obs.MetricMessages, func(s *machine.Stats) *int64 { return &s.Messages }},
+		{obs.MetricBarriers, func(s *machine.Stats) *int64 { return &s.Barriers }},
+		{obs.MetricNetConflict, func(s *machine.Stats) *int64 { return &s.NetConflictCycles }},
+	} {
+		stats := res.Stats
+		traced := *tc.field(&stats)
+		*tc.field(&stats)++
+		_, err := capture(t, func() error { return printMetrics(c, events, stats, false) })
+		want := fmt.Sprintf("%s = %d, stats say %d", tc.metric, traced, traced+1)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("drifted %s: err = %v, want it to contain %q", tc.metric, err, want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // echoLoader is a deterministic loader: the value is a pure function of
@@ -165,21 +166,24 @@ func TestSingleflightCoalesces(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([][]byte, stampede)
-	started := make(chan struct{}, stampede)
+	canon := []byte(`{"n":64}`)
 	for i := 0; i < stampede; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
-			v, _, err := c.Fetch(context.Background(), "/v1/simulate", []byte(`{"n":64}`))
+			v, _, err := c.Fetch(context.Background(), "/v1/simulate", canon)
 			if err != nil {
 				t.Error(err)
 			}
 			results[i] = v
 		}(i)
 	}
-	for i := 0; i < stampede; i++ {
-		<-started
+	// Release the leader only once the other N-1 callers have joined its
+	// flight: a caller that arrived after the flight closed would take an
+	// LRU hit instead of coalescing.
+	key := Key("/v1/simulate", canon)
+	for c.flight.waiting(key) < stampede-1 {
+		time.Sleep(100 * time.Microsecond)
 	}
 	close(release)
 	wg.Wait()

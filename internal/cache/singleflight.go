@@ -17,9 +17,10 @@ type flightGroup struct {
 
 // flightCall is one in-flight computation.
 type flightCall struct {
-	wg  sync.WaitGroup
-	val []byte
-	err error
+	wg      sync.WaitGroup
+	val     []byte
+	err     error
+	waiters int // callers that joined this flight; guarded by the group's mu
 }
 
 // newFlightGroup builds an empty group.
@@ -33,6 +34,7 @@ func newFlightGroup() *flightGroup {
 func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (val []byte, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
+		c.waiters++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, c.err, true
@@ -63,6 +65,18 @@ func (g *flightGroup) finish(key string, c *flightCall) {
 	delete(g.m, key)
 	g.mu.Unlock()
 	c.wg.Done()
+}
+
+// waiting reports how many callers have joined key's open flight (0 when
+// none is open): the hook a test uses to release a stampede only once
+// every caller is provably coalesced.
+func (g *flightGroup) waiting(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.waiters
+	}
+	return 0
 }
 
 // panicErr is the error waiters observe when the flight leader panicked.

@@ -1,10 +1,13 @@
 package conformance
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -182,6 +185,46 @@ func TestRunDetectsStatsDrift(t *testing.T) {
 	}
 	if !strings.Contains(r.Err, "cycles") {
 		t.Errorf("error %q does not mention cycles", r.Err)
+	}
+}
+
+// TestRunCrossCheckNamesEveryField: an off-by-one on any of the seven
+// cross-checked Stats fields fails the cell, and the error names the metric
+// with the traced and reported numbers.
+func TestRunCrossCheckNamesEveryField(t *testing.T) {
+	for _, tc := range []struct {
+		metric string
+		field  func(*machine.Stats) *int64
+	}{
+		{obs.MetricInstructions, func(s *machine.Stats) *int64 { return &s.Instructions }},
+		{obs.MetricALUOps, func(s *machine.Stats) *int64 { return &s.ALUOps }},
+		{obs.MetricMemReads, func(s *machine.Stats) *int64 { return &s.MemReads }},
+		{obs.MetricMemWrites, func(s *machine.Stats) *int64 { return &s.MemWrites }},
+		{obs.MetricMessages, func(s *machine.Stats) *int64 { return &s.Messages }},
+		{obs.MetricBarriers, func(s *machine.Stats) *int64 { return &s.Barriers }},
+		{obs.MetricNetConflict, func(s *machine.Stats) *int64 { return &s.NetConflictCycles }},
+	} {
+		var traced int64
+		cell := Cell{Kernel: "vecadd", Class: "IMP-II", run: func(p Params, opts ...workload.Option) (workload.Result, []isa.Word, error) {
+			a, b := inputs(p.N)
+			want, err := workload.RefVecAdd(a, b)
+			if err != nil {
+				return workload.Result{}, nil, err
+			}
+			res, err := workload.VecAddMIMD(2, p.Procs, a, b, opts...)
+			traced = *tc.field(&res.Stats)
+			*tc.field(&res.Stats)++
+			return res, want, err
+		}}
+		r := Run(cell, DefaultParams())
+		if r.Pass {
+			t.Errorf("cell with drifted %s passed", tc.metric)
+			continue
+		}
+		want := fmt.Sprintf("%s = %d, stats say %d", tc.metric, traced, traced+1)
+		if !strings.Contains(r.Err, want) {
+			t.Errorf("error %q does not contain %q", r.Err, want)
+		}
 	}
 }
 

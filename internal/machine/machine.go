@@ -10,6 +10,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -46,6 +47,36 @@ func (s *Stats) Add(other Stats) {
 	if other.Cycles > s.Cycles {
 		s.Cycles = other.Cycles
 	}
+}
+
+// CheckTotals verifies that a traced run's event totals (obs.Tally)
+// reproduce s: the observability invariant that the metrics layer counts
+// exactly what the machine accounted. It is the one metrics == Stats
+// check that the server, the conformance matrix and cmd/simulate -metrics
+// share; the error names every disagreeing metric with both numbers.
+func (s Stats) CheckTotals(t obs.Totals) error {
+	checks := [...]struct {
+		metric    string
+		got, want int64
+	}{
+		{obs.MetricInstructions, t.Instructions, s.Instructions},
+		{obs.MetricALUOps, t.ALUOps, s.ALUOps},
+		{obs.MetricMemReads, t.MemReads, s.MemReads},
+		{obs.MetricMemWrites, t.MemWrites, s.MemWrites},
+		{obs.MetricMessages, t.Messages, s.Messages},
+		{obs.MetricBarriers, t.Barriers, s.Barriers},
+		{obs.MetricNetConflict, t.NetConflictCycles, s.NetConflictCycles},
+	}
+	var bad []string
+	for _, ch := range checks {
+		if ch.got != ch.want {
+			bad = append(bad, fmt.Sprintf("%s = %d, stats say %d", ch.metric, ch.got, ch.want))
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("metrics/stats cross-check failed: %s", strings.Join(bad, "; "))
+	}
+	return nil
 }
 
 // IPC is instructions per cycle, 0 when no cycles elapsed.

@@ -2,11 +2,13 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/isa"
+	"repro/internal/obs"
 )
 
 func TestMemory(t *testing.T) {
@@ -319,5 +321,37 @@ func TestStep_Property(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckTotals pins the shared metrics == Stats check: matching totals
+// pass, and an off-by-one on any of the seven checked fields fails with the
+// metric's name and both numbers.
+func TestCheckTotals(t *testing.T) {
+	s := Stats{Cycles: 99, Instructions: 10, ALUOps: 4, MemReads: 3, MemWrites: 2, Messages: 5, Barriers: 1, NetConflictCycles: 7}
+	match := obs.Totals{Instructions: 10, ALUOps: 4, MemReads: 3, MemWrites: 2, Messages: 5, Barriers: 1, NetConflictCycles: 7,
+		Reconfigs: 2, ReconfigBits: 64, Cycles: 12}
+	if err := s.CheckTotals(match); err != nil {
+		t.Fatalf("matching totals: %v", err)
+	}
+	for _, tc := range []struct {
+		metric string
+		field  *int64
+	}{
+		{obs.MetricInstructions, &match.Instructions},
+		{obs.MetricALUOps, &match.ALUOps},
+		{obs.MetricMemReads, &match.MemReads},
+		{obs.MetricMemWrites, &match.MemWrites},
+		{obs.MetricMessages, &match.Messages},
+		{obs.MetricBarriers, &match.Barriers},
+		{obs.MetricNetConflict, &match.NetConflictCycles},
+	} {
+		*tc.field++
+		err := s.CheckTotals(match)
+		*tc.field--
+		want := fmt.Sprintf("%s = %d, stats say %d", tc.metric, *tc.field+1, *tc.field)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s off by one: err = %v, want it to contain %q", tc.metric, err, want)
+		}
 	}
 }

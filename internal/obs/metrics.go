@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -133,7 +134,9 @@ func renderLabels(labelPairs []string) (string, error) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
+		b.WriteString(p.k)
+		b.WriteByte('=')
+		b.WriteString(strconv.Quote(p.v)) // fmt's %q, without its pooled printer
 	}
 	b.WriteByte('}')
 	return b.String(), nil

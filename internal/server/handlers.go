@@ -416,9 +416,13 @@ func checkSimulateProgram(r SimulateRequest) error {
 	return nil
 }
 
+// runKernel is the simulation runSimulate serves; tests substitute a run
+// whose Stats drift from its trace to exercise the cross-check.
+var runKernel = modelzoo.RunKernel
+
 // runSimulate executes one kernel × class cell with a tracer attached and
-// cross-checks the aggregated obs counters against the machine stats, the
-// same invariant the conformance matrix enforces per cell. When the request
+// cross-checks the trace's run totals against the machine stats, the same
+// invariant the conformance matrix enforces per cell. When the request
 // is traced, the simulator's event stream is attached under the item's span,
 // so the request's Chrome trace shows the guest cycles inside the wall time.
 func runSimulate(ctx context.Context, r SimulateRequest) (SimulateResponse, error) {
@@ -432,7 +436,7 @@ func runSimulate(ctx context.Context, r SimulateRequest) (SimulateResponse, erro
 	}
 	trace := obs.AcquireTrace()
 	defer obs.ReleaseTrace(trace)
-	res, err := modelzoo.RunKernel(c, r.Kernel, r.N, r.Procs,
+	res, err := runKernel(c, r.Kernel, r.N, r.Procs,
 		workload.WithTracer(trace), workload.WithBackend(backend))
 	if err != nil {
 		return SimulateResponse{}, err
@@ -461,46 +465,12 @@ func runSimulate(ctx context.Context, r SimulateRequest) (SimulateResponse, erro
 	}
 	// The fabric's clock steps are not evented, so USP is metrics-exempt.
 	if c.Name.Machine != taxonomy.UniversalFlow {
-		if err := crossCheckTrace(trace, res.Stats); err != nil {
+		if err := res.Stats.CheckTotals(trace.Tally()); err != nil {
 			return SimulateResponse{}, err
 		}
 		resp.MetricsChecked = true
 	}
 	return resp, nil
-}
-
-// crossCheckTrace aggregates the traced events into a registry and verifies
-// the standard counters reproduce the machine's own accounting — the
-// observability invariant of internal/obs, enforced on every served
-// simulation the way the conformance matrix enforces it per cell.
-func crossCheckTrace(trace *obs.Trace, stats machine.Stats) error {
-	reg := obs.NewRegistry()
-	if err := obs.Collect(reg, trace.Events()); err != nil {
-		return err
-	}
-	checks := []struct {
-		metric string
-		want   int64
-	}{
-		{obs.MetricInstructions, stats.Instructions},
-		{obs.MetricALUOps, stats.ALUOps},
-		{obs.MetricMemReads, stats.MemReads},
-		{obs.MetricMemWrites, stats.MemWrites},
-		{obs.MetricMessages, stats.Messages},
-		{obs.MetricBarriers, stats.Barriers},
-		{obs.MetricNetConflict, stats.NetConflictCycles},
-	}
-	var bad []string
-	for _, ch := range checks {
-		got, _ := reg.CounterValue(ch.metric)
-		if got != ch.want {
-			bad = append(bad, fmt.Sprintf("%s = %d, stats say %d", ch.metric, got, ch.want))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("metrics/stats cross-check failed: %s", strings.Join(bad, "; "))
-	}
-	return nil
 }
 
 // runConformance executes the selected cells serially inside the item —

@@ -19,6 +19,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/flexbench"
 	"repro/internal/isa"
+	"repro/internal/obs"
 )
 
 // writeSeed writes one corpus entry in the `go test fuzz v1` encoding:
@@ -230,6 +231,60 @@ func main() {
 		{Op: isa.OpHalt},
 	}, target(8, 1, 0))
 	seedCheck("empty", nil, target(0, 0, 0))
+
+	// internal/obs: event soups for the Collect differential fuzzer, in
+	// FuzzCollect's packing (16 bytes per event: kind, flags, track int32,
+	// cycle int32, dur int16, arg int32, little-endian).
+	packEvents := func(events []obs.Event) string {
+		buf := make([]byte, 0, len(events)*16)
+		for _, e := range events {
+			var w [16]byte
+			w[0], w[1] = uint8(e.Kind), e.Flags
+			binary.LittleEndian.PutUint32(w[2:], uint32(e.Track))
+			binary.LittleEndian.PutUint32(w[6:], uint32(e.Cycle))
+			binary.LittleEndian.PutUint16(w[10:], uint16(e.Dur))
+			binary.LittleEndian.PutUint32(w[12:], uint32(e.Arg))
+			buf = append(buf, w[:]...)
+		}
+		return bytesLit(buf)
+	}
+	colDir := filepath.Join("internal", "obs", "testdata", "fuzz", "FuzzCollect")
+	var everyKind []obs.Event
+	for k := 0; k <= int(obs.KindPhase)+2; k++ {
+		everyKind = append(everyKind, obs.Event{Kind: obs.Kind(k), Flags: obs.FlagHasOp, Track: int32(k % 3), Cycle: int64(k), Dur: 1, Arg: int64(k)})
+	}
+	everyKind = append(everyKind, obs.Event{Kind: obs.Kind(0xFF), Track: obs.TrackMachine, Cycle: 40})
+	writeSeed(colDir, "every_kind", packEvents(everyKind))
+	writeSeed(colDir, "out_of_range_ops", packEvents([]obs.Event{
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp | obs.FlagALU, Track: 0, Dur: 1, Arg: int64(isa.OpAdd)},
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp, Track: 0, Cycle: 1, Dur: 1, Arg: 0xEE},
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp, Track: 0, Cycle: 2, Dur: 1, Arg: 0x100 + int64(isa.OpAdd)},
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp | obs.FlagALU, Track: 1, Cycle: 3, Dur: 1, Arg: -1},
+		{Kind: obs.KindInstr, Track: 1, Cycle: 4, Dur: 2, Arg: 0x7FFFFFFF},
+		{Kind: obs.KindInstr, Flags: 0xFF, Track: 1, Cycle: 5, Dur: 1, Arg: int64(isa.OpHalt)},
+	}))
+	writeSeed(colDir, "extreme_tracks", packEvents([]obs.Event{
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp, Track: obs.TrackMachine, Dur: 1, Arg: int64(isa.OpSync)},
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp, Track: -2, Dur: 1, Arg: int64(isa.OpNop)},
+		{Kind: obs.KindInstr, Track: math.MinInt32, Cycle: 1, Dur: 1},
+		{Kind: obs.KindInstr, Track: math.MaxInt32, Cycle: 2, Dur: 1},
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp, Track: 4095, Cycle: 3, Dur: 1, Arg: int64(isa.OpLd)},
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp, Track: 4096, Cycle: 4, Dur: 1, Arg: int64(isa.OpSt)},
+		{Kind: obs.KindMemRead, Track: 70000, Cycle: 5, Arg: 3},
+		{Kind: obs.KindInstr, Flags: obs.FlagHasOp, Track: 7, Cycle: 6, Dur: 1, Arg: int64(isa.OpSend)},
+	}))
+	writeSeed(colDir, "histograms_and_sums", packEvents([]obs.Event{
+		{Kind: obs.KindStall, Track: 0, Cycle: 0, Dur: 1, Arg: 0},
+		{Kind: obs.KindStall, Track: 1, Cycle: 1, Dur: 128, Arg: 128},
+		{Kind: obs.KindStall, Track: 2, Cycle: 2, Dur: 3, Arg: 129},
+		{Kind: obs.KindStall, Track: 2, Cycle: 3, Dur: -4, Arg: -7},
+		{Kind: obs.KindWait, Track: 0, Cycle: 4, Dur: -9},
+		{Kind: obs.KindWait, Track: 3, Cycle: -5, Dur: 32767},
+		{Kind: obs.KindReconfig, Track: obs.TrackMachine, Cycle: math.MaxInt32, Arg: math.MinInt32},
+		{Kind: obs.KindBarrier, Track: obs.TrackMachine, Cycle: math.MinInt32},
+	}))
+	writeSeed(colDir, "truncated", bytesLit(append([]byte{0, 3, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 4, 0, 0, 0}, 7, 7, 7, 7)))
+	writeSeed(colDir, "empty", bytesLit(nil))
 
 	// internal/interconnect: port-count selectors with routes that collide
 	// on internal links (same destination, shuffled sources) and loopback.
