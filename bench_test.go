@@ -584,8 +584,9 @@ done:   halt
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		comp := machine.Compile(dec, machine.CompileOptions{})
+		var cpu machine.CPU
 		for i := 0; i < b.N; i++ {
-			cpu := machine.CPU{Mem: mem}
+			cpu = machine.CPU{Mem: mem}
 			if _, err := comp.Run(&cpu, machine.DefaultMaxCycles); err != nil {
 				b.Fatal(err)
 			}
@@ -625,6 +626,26 @@ func BenchmarkConformance_Lockstep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				results, pass := conformance.LockstepSweepParallel(ctx, 1, 8, workers)
+				if !pass {
+					b.Fatalf("sweep failed: %+v", results)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkConformance_Backends is the same ablation on the cross-backend
+// differ: each seed generates a random program and runs it on three
+// machine shapes with every backend, untraced and traced — eighteen runs
+// of one program, which is why sharing one loaded artefact per seed
+// dominates its allocation profile.
+func BenchmarkConformance_Backends(b *testing.B) {
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				results, pass := conformance.BackendSweepParallel(ctx, 1, 8, workers)
 				if !pass {
 					b.Fatalf("sweep failed: %+v", results)
 				}

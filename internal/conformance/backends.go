@@ -87,19 +87,25 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 	}
 	img := randomImage(rng, cfg)
 	bank := cfg.MemWords()
+	// One artefact feeds all eighteen runs: every backend of every shape,
+	// traced or not, executes the same decoded ops and op chain.
+	a, err := machine.Load(prog)
+	if err != nil {
+		return fail(err, prog)
+	}
 
 	shapes := []struct {
 		name string
 		run  func(machine.Backend, obs.Tracer) (backendOutcome, error)
 	}{
 		{"IUP", func(b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
-			return runUniBackend(prog, img, bank, b, tr)
+			return runUniBackend(a, img, bank, b, tr)
 		}},
 		{"IAP-I", func(b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
-			return runSIMDBackend(prog, img, bank, b, tr)
+			return runSIMDBackend(a, img, bank, b, tr)
 		}},
 		{"IMP-I", func(b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
-			return runMIMDBackend(prog, img, bank, b, tr)
+			return runMIMDBackend(a, img, bank, b, tr)
 		}},
 	}
 	for _, shape := range shapes {
@@ -138,8 +144,8 @@ func backendCheck(seed int64, cfg GenConfig) BackendResult {
 	return r
 }
 
-func runUniBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
-	uni, err := uniproc.New(uniproc.Config{MemWords: bank, Backend: b, Tracer: tr}, prog)
+func runUniBackend(a *machine.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
+	uni, err := uniproc.NewLoaded(uniproc.Config{MemWords: bank, Backend: b, Tracer: tr}, a)
 	if err != nil {
 		return backendOutcome{}, err
 	}
@@ -151,14 +157,14 @@ func runUniBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backend
 	return backendOutcome{mems: [][]isa.Word{mem}, stats: stats}, nil
 }
 
-func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
+func runSIMDBackend(a *machine.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
 	cfg, err := simd.ForSubtype(1, lockstepProcs, bank)
 	if err != nil {
 		return backendOutcome{}, err
 	}
 	cfg.Backend = b
 	cfg.Tracer = tr
-	arr, err := simd.New(cfg, prog)
+	arr, err := simd.NewLoaded(cfg, a)
 	if err != nil {
 		return backendOutcome{}, err
 	}
@@ -183,18 +189,14 @@ func runSIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backen
 	return out, nil
 }
 
-func runMIMDBackend(prog isa.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
+func runMIMDBackend(a *machine.Program, img []isa.Word, bank int, b machine.Backend, tr obs.Tracer) (backendOutcome, error) {
 	cfg, err := mimd.ForSubtype(1, lockstepProcs, bank)
 	if err != nil {
 		return backendOutcome{}, err
 	}
 	cfg.Backend = b
 	cfg.Tracer = tr
-	images := make([]isa.Program, lockstepProcs)
-	for i := range images {
-		images[i] = prog
-	}
-	mp, err := mimd.New(cfg, images)
+	mp, err := mimd.NewLoaded(cfg, coreImages(a))
 	if err != nil {
 		return backendOutcome{}, err
 	}

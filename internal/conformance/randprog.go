@@ -176,12 +176,18 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 	}
 	img := randomImage(rng, cfg)
 	bank := cfg.MemWords()
+	// One artefact feeds the checker and all three machines: the program
+	// is decoded, and its CFG and op chain built, once per seed.
+	a, err := machine.Load(prog)
+	if err != nil {
+		return fail(err, prog)
+	}
 
 	// Static gate: every generated program must be check-clean (generated
 	// code reads zero-initialised registers, so Info findings are fine) and
 	// provably bounded — the checker's verdicts are differentially pinned
 	// against thousands of real executions here.
-	rep := progcheck.Check(prog, progcheck.Target{MemWords: bank, Procs: 1})
+	rep := progcheck.CheckProgram(a, progcheck.Target{MemWords: bank, Procs: 1})
 	if !rep.Clean(report.SevWarn) {
 		return fail(fmt.Errorf("progcheck: generated program is not check-clean:\n%s", rep.Text()), prog)
 	}
@@ -190,7 +196,7 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 	}
 
 	// Uni-processor: the reference execution.
-	uni, err := uniproc.New(uniproc.Config{MemWords: bank}, prog)
+	uni, err := uniproc.NewLoaded(uniproc.Config{MemWords: bank}, a)
 	if err != nil {
 		return fail(err, prog)
 	}
@@ -209,7 +215,7 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 	if err != nil {
 		return fail(err, prog)
 	}
-	arr, err := simd.New(simdCfg, prog)
+	arr, err := simd.NewLoaded(simdCfg, a)
 	if err != nil {
 		return fail(err, prog)
 	}
@@ -233,16 +239,12 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 		}
 	}
 
-	// 2-core IMP-I: private program copies over identical banks.
+	// 2-core IMP-I: private program images over identical banks.
 	mimdCfg, err := mimd.ForSubtype(1, lockstepProcs, bank)
 	if err != nil {
 		return fail(err, prog)
 	}
-	images := make([]isa.Program, lockstepProcs)
-	for i := range images {
-		images[i] = prog
-	}
-	mp, err := mimd.New(mimdCfg, images)
+	mp, err := mimd.NewLoaded(mimdCfg, coreImages(a))
 	if err != nil {
 		return fail(err, prog)
 	}
@@ -271,6 +273,16 @@ func lockstepCheck(seed int64, cfg GenConfig) LockstepResult {
 	}
 	r.Pass = true
 	return r
+}
+
+// coreImages gives every core of a lockstepProcs-core IMP-I the same
+// artefact as its private program image.
+func coreImages(a *machine.Program) []*machine.Program {
+	images := make([]*machine.Program, lockstepProcs)
+	for i := range images {
+		images[i] = a
+	}
+	return images
 }
 
 // diffMemory compares one machine's final bank against the reference.

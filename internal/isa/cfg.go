@@ -1,8 +1,9 @@
 package isa
 
 // This file is the shared control-flow view of one program: basic-block
-// discovery over a DecodedProgram, used by both machine.Compile (block
-// lowering and superinstruction fusion) and internal/progcheck (static
+// discovery over a DecodedProgram, built once per machine.Program artefact
+// and used by both the compiled backend (block lowering and
+// superinstruction fusion) and internal/progcheck (static
 // checks and abstract interpretation). Keeping one implementation is what
 // makes the checker's block structure authoritative for the compiler: a
 // fusion decision can never span a boundary the checker cannot see, and the

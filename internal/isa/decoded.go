@@ -57,7 +57,8 @@ func (d *DecodedOp) Instruction() Instruction {
 }
 
 // DecodedProgram is the lowered form of one instruction memory, produced by
-// Predecode and cached by the simulators for the lifetime of a machine.
+// Predecode and held by the program's machine.Program artefact, which
+// every simulator and the static checker share.
 type DecodedProgram []DecodedOp
 
 // DecodeOp lowers one instruction at the given program counter.
@@ -86,9 +87,9 @@ func DecodeOp(pc int, ins Instruction) DecodedOp {
 }
 
 // Predecode lowers a whole program. The caller is expected to have
-// validated the program (branch targets inside, registers in range); the
-// simulators all do so at construction, which is also where they cache the
-// result so every executed cycle reuses it.
+// validated the program (branch targets inside, registers in range), as
+// machine.Load does before decoding once for every consumer of the
+// program.
 func Predecode(p Program) DecodedProgram {
 	dec := make(DecodedProgram, len(p))
 	for pc, ins := range p {

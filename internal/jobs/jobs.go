@@ -158,10 +158,19 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 }
 
 // job is the manager-internal record: the public snapshot plus the chunk
-// payloads accumulated so far.
+// payloads accumulated so far. The payloads only feed a resume and the
+// final Reduce, so every terminal transition (live or replayed) drops
+// them: a long-lived server's heap must not grow with the jobs it served.
 type job struct {
 	Job
 	chunks []json.RawMessage
+}
+
+// terminate applies a terminal state and releases the chunk payloads.
+func (j *job) terminate(s State, at *time.Time) {
+	j.State = s
+	j.FinishedAt = at
+	j.chunks = nil
 }
 
 // watcher is one Watch subscription.
@@ -280,24 +289,21 @@ func (m *Manager) applyRecord(rec walRecord) error {
 		if j == nil {
 			return fmt.Errorf("done record for unknown job %q", rec.ID)
 		}
-		j.State = StateDone
 		j.Result = rec.Result
-		j.FinishedAt = rec.At
+		j.terminate(StateDone, rec.At)
 	case "fail":
 		j := m.jobs[rec.ID]
 		if j == nil {
 			return fmt.Errorf("fail record for unknown job %q", rec.ID)
 		}
-		j.State = StateFailed
 		j.Error = rec.Error
-		j.FinishedAt = rec.At
+		j.terminate(StateFailed, rec.At)
 	case "cancel":
 		j := m.jobs[rec.ID]
 		if j == nil {
 			return fmt.Errorf("cancel record for unknown job %q", rec.ID)
 		}
-		j.State = StateCancelled
-		j.FinishedAt = rec.At
+		j.terminate(StateCancelled, rec.At)
 	default:
 		return fmt.Errorf("unknown journal record type %q", rec.T)
 	}
@@ -408,8 +414,7 @@ func (m *Manager) Cancel(id string) (Job, error) {
 	if err := m.wal.append(walRecord{T: "cancel", ID: id, At: &at}); err != nil {
 		return Job{}, err
 	}
-	j.State = StateCancelled
-	j.FinishedAt = &at
+	j.terminate(StateCancelled, &at)
 	if m.cfg.Metrics != nil {
 		m.cfg.Metrics.Cancelled.Inc()
 	}
@@ -681,10 +686,9 @@ func (m *Manager) finishLocked(j *job, s State, result json.RawMessage, errMsg s
 	// re-queues and re-runs it, which is safe (deterministic runners) if
 	// the disk recovers.
 	_ = m.wal.append(rec)
-	j.State = s
 	j.Result = result
 	j.Error = errMsg
-	j.FinishedAt = &at
+	j.terminate(s, &at)
 	m.setDepth(m.queueDepthLocked())
 	if m.cfg.Metrics != nil {
 		switch s {

@@ -13,7 +13,7 @@ import "fmt"
 //	                  every executed cycle. The reference implementation.
 //	BackendDecoded  — machine.StepDecoded on a cached isa.DecodedProgram:
 //	                  one pre-decode pass, still a per-op switch per cycle.
-//	BackendCompiled — machine.Compile threaded code: one closure per
+//	BackendCompiled — machine.Program threaded code: one closure per
 //	                  instruction specialized to its operands (no per-op
 //	                  switch), and on the uni-processor a basic-block run
 //	                  mode with superinstruction fusion and batched cycle

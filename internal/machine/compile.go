@@ -86,10 +86,11 @@ type block struct {
 	cycles int64
 }
 
-// CompiledProgram is the lowered form of one program: the per-op threaded
-// chain (used by every simulator and by traced runs, where per-instruction
-// event emission is part of the contract) and the fused block program the
-// uni-processor fast path executes.
+// CompiledProgram is the fused block program the uni-processor fast path
+// executes for one CompileOptions, built by Program.Compiled. It shares the
+// artefact's decoded ops and threaded per-op chain (used by every simulator
+// and by traced runs, where per-instruction event emission is part of the
+// contract); runExact steps through that chain near the cycle budget.
 type CompiledProgram struct {
 	ops           []OpFn
 	blocks        []block
@@ -106,27 +107,13 @@ func (p *CompiledProgram) Ops() []OpFn { return p.ops }
 // Len returns the program length in instructions.
 func (p *CompiledProgram) Len() int { return p.n }
 
-// Compile lowers a pre-decoded program. The caller is expected to have
-// validated the program, as with Predecode; compiling an empty program
-// yields a chain whose Run halts immediately.
+// Compile lowers an already pre-decoded program into its fused block
+// program: Compiled on a private artefact wrapping dec. Callers that hold
+// the source program use Load and share the artefact instead. The caller
+// is expected to have validated the program, as with Predecode; compiling
+// an empty program yields a chain whose Run halts immediately.
 func Compile(dec isa.DecodedProgram, opts CompileOptions) *CompiledProgram {
-	memLat := opts.MemLatency
-	if memLat == 0 {
-		memLat = 1 // default DP-DM direct-switch traversal
-	}
-	p := &CompiledProgram{
-		dec:           dec,
-		n:             len(dec),
-		ops:           make([]OpFn, len(dec)),
-		blockAt:       make([]int32, len(dec)),
-		memLatency:    memLat,
-		branchPenalty: opts.BranchPenalty,
-	}
-	for pc := range dec {
-		p.ops[pc] = compileOp(pc, &dec[pc])
-	}
-	p.buildBlocks()
-	return p
+	return (&Program{dec: dec}).Compiled(opts)
 }
 
 // buildBlocks lowers each basic block of the shared CFG (isa.BuildCFG owns
@@ -134,11 +121,10 @@ func Compile(dec isa.DecodedProgram, opts CompileOptions) *CompiledProgram {
 // branch or halt) and asserts the fusion invariant: every fused unit stays
 // inside one CFG block, so a superinstruction can never span a boundary
 // the static checker reasons about.
-func (p *CompiledProgram) buildBlocks() {
+func (p *CompiledProgram) buildBlocks(cfg *isa.CFG) {
 	if p.n == 0 {
 		return
 	}
-	cfg := isa.BuildCFG(p.dec)
 	for pc := range p.blockAt {
 		p.blockAt[pc] = -1
 	}

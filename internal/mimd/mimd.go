@@ -140,10 +140,11 @@ type coreState struct {
 
 // Machine is one multi-processor instance.
 type Machine struct {
-	cfg      Config
-	programs []isa.Program
-	// decoded holds the pre-decoded form of each program image; cores
-	// dispatch on it in the scheduler loop.
+	cfg Config
+	// images holds the loaded artefact of each program image; decoded
+	// caches each image's pre-decoded ops, which cores dispatch on in the
+	// scheduler loop.
+	images  []*machine.Program
 	decoded []isa.DecodedProgram
 	cores   []coreState
 	banks   []machine.Memory
@@ -160,9 +161,10 @@ type Machine struct {
 	cycle  int64
 	finish int64
 	// backend is the resolved engine; with the compiled backend, ops holds
-	// one threaded per-op chain per program image. The cross-core network
-	// and barrier timing keeps the cycle-by-cycle scheduler either way —
-	// only the per-instruction dispatch changes.
+	// each program image's threaded per-op chain (one shared chain when
+	// images share an artefact). The cross-core network and barrier timing
+	// keeps the cycle-by-cycle scheduler either way — only the
+	// per-instruction dispatch changes.
 	backend machine.Backend
 	ops     [][]machine.OpFn
 }
@@ -175,45 +177,75 @@ type CoreStats struct {
 	FinishedAt int64
 }
 
-// New builds a multi-processor. With IP-IM direct there must be exactly one
-// program image per core (core i runs programs[i]). With the IP-IM crossbar
-// any positive number of images is allowed and every core starts on image
-// 0; use Assign to point cores at other images.
+// New builds a multi-processor from program images: NewLoaded on freshly
+// loaded artefacts. Images that are the same slice (the SPMD shape, one
+// program copied to every core) share one artefact, so they are decoded
+// and lowered once.
 func New(cfg Config, programs []isa.Program) (*Machine, error) {
+	images := make([]*machine.Program, len(programs))
+	for i, p := range programs {
+		if j := sameImage(programs[:i], p); j >= 0 {
+			images[i] = images[j]
+			continue
+		}
+		a, err := machine.Load(p)
+		if err != nil {
+			return nil, fmt.Errorf("mimd: program image %d: %w", i, err)
+		}
+		images[i] = a
+	}
+	return NewLoaded(cfg, images)
+}
+
+// sameImage returns the index of the first program in prev that is the
+// very same slice as p (same backing array and length), or -1.
+func sameImage(prev []isa.Program, p isa.Program) int {
+	for i, q := range prev {
+		if len(q) == len(p) && len(p) > 0 && &q[0] == &p[0] {
+			return i
+		}
+	}
+	return -1
+}
+
+// NewLoaded builds a multi-processor from loaded program artefacts, which
+// may be shared between images, with other machines and with the static
+// checker. With IP-IM direct there must be exactly one image per core
+// (core i runs images[i]). With the IP-IM crossbar any positive number of
+// images is allowed and every core starts on image 0; use Assign to point
+// cores at other images.
+func NewLoaded(cfg Config, images []*machine.Program) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(programs) == 0 {
+	if len(images) == 0 {
 		return nil, fmt.Errorf("mimd: no program images")
 	}
-	for i, p := range programs {
-		if len(p) == 0 {
+	for i, p := range images {
+		if p.Len() == 0 {
 			return nil, fmt.Errorf("mimd: program image %d is empty", i)
 		}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("mimd: program image %d: %w", i, err)
-		}
 	}
-	if cfg.IPIM == taxonomy.LinkDirect && len(programs) != cfg.Cores {
+	if cfg.IPIM == taxonomy.LinkDirect && len(images) != cfg.Cores {
 		return nil, fmt.Errorf("mimd: IP-IM is direct, need one program image per core (%d), got %d",
-			cfg.Cores, len(programs))
+			cfg.Cores, len(images))
 	}
 	m := &Machine{
-		cfg:      cfg,
-		programs: programs,
-		decoded:  make([]isa.DecodedProgram, len(programs)),
-		cores:    make([]coreState, cfg.Cores),
-		banks:    make([]machine.Memory, cfg.Cores),
-		perCore:  make([]CoreStats, cfg.Cores),
+		cfg:     cfg,
+		images:  images,
+		decoded: make([]isa.DecodedProgram, len(images)),
+		cores:   make([]coreState, cfg.Cores),
+		banks:   make([]machine.Memory, cfg.Cores),
+		perCore: make([]CoreStats, cfg.Cores),
 	}
-	for i, p := range programs {
-		m.decoded[i] = isa.Predecode(p)
+	for i, p := range images {
+		m.decoded[i] = p.Decoded()
 	}
 	m.backend = cfg.Backend.Resolve()
 	if m.backend == machine.BackendCompiled {
-		m.ops = make([][]machine.OpFn, len(programs))
-		for i := range m.decoded {
-			m.ops[i] = machine.Compile(m.decoded[i], machine.CompileOptions{}).Ops()
+		m.ops = make([][]machine.OpFn, len(images))
+		for i, p := range images {
+			m.ops[i] = p.Ops()
 		}
 	}
 	// On any failure past this point the cleanup returns the banks
@@ -284,8 +316,8 @@ func (m *Machine) Assign(core, image int) error {
 	if core < 0 || core >= m.cfg.Cores {
 		return fmt.Errorf("mimd: core %d out of range [0,%d)", core, m.cfg.Cores)
 	}
-	if image < 0 || image >= len(m.programs) {
-		return fmt.Errorf("mimd: image %d out of range [0,%d)", image, len(m.programs))
+	if image < 0 || image >= len(m.images) {
+		return fmt.Errorf("mimd: image %d out of range [0,%d)", image, len(m.images))
 	}
 	m.cores[core].prog = image
 	return nil
@@ -348,7 +380,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 
 	running := 0
 	for i := range m.cores {
-		if m.cores[i].pc < len(m.programs[m.cores[i].prog]) {
+		if m.cores[i].pc < len(m.decoded[m.cores[i].prog]) {
 			running++
 		} else {
 			m.cores[i].halted = true
@@ -389,7 +421,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 			case m.ops != nil:
 				out, err = m.ops[c.prog][c.pc](&c.regs, env)
 			case m.backend == machine.BackendInterp:
-				out, err = machine.Step(&c.regs, c.pc, m.programs[c.prog][c.pc], *env)
+				out, err = machine.Step(&c.regs, c.pc, m.images[c.prog].Source()[c.pc], *env)
 			default:
 				out, err = machine.StepDecoded(&c.regs, c.pc, d, env)
 			}

@@ -3,7 +3,7 @@ package progcheck
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -473,7 +473,7 @@ func collectThresholds(dec isa.DecodedProgram, t Target) []int64 {
 			}
 		}
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	// Dedupe in place.
 	out := ts[:0]
 	for i, v := range ts {

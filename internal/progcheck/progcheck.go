@@ -163,8 +163,26 @@ func (r *Report) finish() {
 
 // Check verifies one program against one target and returns the report.
 // It never panics and is deterministic: the same program and target always
-// produce the identical report, byte-for-byte in JSON.
+// produce the identical report, byte-for-byte in JSON. A program
+// machine.Load accepts is checked through its artefact, exactly as
+// CheckProgram would; one Load rejects still gets its structural findings,
+// and — when every op decodes — the deeper analyses too.
 func Check(p isa.Program, t Target) *Report {
+	a, _ := machine.Load(p) // nil when p is invalid; check decodes it then
+	return check(p, a, t)
+}
+
+// CheckProgram is Check on a loaded artefact: the analyses run on the
+// artefact's decoded ops and CFG, so a caller that also runs the program
+// decodes it, and builds its CFG, once for the checker and every machine.
+func CheckProgram(a *machine.Program, t Target) *Report {
+	return check(a.Source(), a, t)
+}
+
+// check runs the structural scan over p and then the deeper analyses over
+// a's decoded ops and CFG. a is nil when Load rejected p; p is then decoded
+// here, which its structural findings have already shown to be possible.
+func check(p isa.Program, a *machine.Program, t Target) *Report {
 	t = t.withDefaults()
 	r := &Report{Instructions: len(p)}
 	decodable := checkStructure(p, t, r)
@@ -180,8 +198,14 @@ func Check(p isa.Program, t Target) *Report {
 		r.finish()
 		return r
 	}
-	dec := isa.Predecode(p)
-	g := isa.BuildCFG(dec)
+	var dec isa.DecodedProgram
+	var g *isa.CFG
+	if a != nil {
+		dec, g = a.Decoded(), a.CFG()
+	} else {
+		dec = isa.Predecode(p)
+		g = isa.BuildCFG(dec)
+	}
 	r.Blocks = len(g.Blocks)
 	reach := reachableBlocks(g)
 	checkUnreachable(g, reach, r)
@@ -292,6 +316,16 @@ func checkFallOff(dec isa.DecodedProgram, g *isa.CFG, reach []bool, r *Report) {
 	}
 }
 
+// defUseMsg is the def-before-use finding text per register, formatted
+// once: generated and hand-written programs alike lean on zero-initialized
+// registers, so this is the checker's most frequent finding.
+var defUseMsg = func() (msgs [isa.NumRegs]string) {
+	for r := range msgs {
+		msgs[r] = fmt.Sprintf("reads r%d before any write reaches it (relies on zero-initialized registers)", r)
+	}
+	return msgs
+}()
+
 // checkDefUse runs a must-be-defined forward dataflow over registers and
 // reports reads that no write dominates. The machines zero-initialize
 // registers, so this is advisory: it flags reliance on implicit zeros.
@@ -342,12 +376,10 @@ func checkDefUse(dec isa.DecodedProgram, g *isa.CFG, reach []bool, r *Report) {
 		for pc := blk.Start; pc < blk.End; pc++ {
 			d := &dec[pc]
 			if d.Op.ReadsRa() && mask&(1<<d.Ra) == 0 {
-				r.add(CheckDefUse, report.SevInfo, int(pc), b,
-					fmt.Sprintf("reads r%d before any write reaches it (relies on zero-initialized registers)", d.Ra))
+				r.add(CheckDefUse, report.SevInfo, int(pc), b, defUseMsg[d.Ra])
 			}
 			if d.Op.ReadsRb() && mask&(1<<d.Rb) == 0 {
-				r.add(CheckDefUse, report.SevInfo, int(pc), b,
-					fmt.Sprintf("reads r%d before any write reaches it (relies on zero-initialized registers)", d.Rb))
+				r.add(CheckDefUse, report.SevInfo, int(pc), b, defUseMsg[d.Rb])
 			}
 			if d.Op.WritesRd() {
 				mask |= 1 << d.Rd

@@ -98,8 +98,8 @@ func (c Config) validate() error {
 // Machine is one array-processor instance.
 type Machine struct {
 	cfg  Config
-	prog isa.Program
-	dec  isa.DecodedProgram
+	prog *machine.Program
+	dec  isa.DecodedProgram // prog.Decoded()
 	// banks comes from the shared bank pool; regs from the register pool.
 	banks []machine.Memory
 	regs  []machine.Regs
@@ -117,30 +117,39 @@ type Machine struct {
 	issue  int64
 	finish int64
 	// backend is the resolved engine. With the compiled backend, ops is the
-	// threaded per-op chain (per-lane and scalar dispatch) and vec the
-	// vectorized lane path (nil entries fall back to ops).
+	// artefact's threaded per-op chain (per-lane and scalar dispatch) and,
+	// on untraced machines, vec the vectorized lane path (nil entries fall
+	// back to ops).
 	backend machine.Backend
 	ops     []machine.OpFn
 	vec     []vecFn
 }
 
-// New builds an array processor loaded with one broadcast program. The
-// program is pre-decoded once and the banks and register files come from
-// the shared pools; call Release to recycle them.
+// New builds an array processor loaded with one broadcast program:
+// NewLoaded on a freshly loaded artefact.
 func New(cfg Config, prog isa.Program) (*Machine, error) {
+	p, err := machine.Load(prog)
+	if err != nil {
+		return nil, fmt.Errorf("simd: %w", err)
+	}
+	return NewLoaded(cfg, p)
+}
+
+// NewLoaded builds an array processor broadcasting a loaded program
+// artefact, which may be shared with other machines and the static
+// checker. The banks and register files come from the shared pools; call
+// Release to recycle them.
+func NewLoaded(cfg Config, prog *machine.Program) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(prog) == 0 {
+	if prog.Len() == 0 {
 		return nil, fmt.Errorf("simd: empty program")
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("simd: %w", err)
 	}
 	m := &Machine{
 		cfg:   cfg,
 		prog:  prog,
-		dec:   isa.Predecode(prog),
+		dec:   prog.Decoded(),
 		banks: make([]machine.Memory, cfg.Lanes),
 		regs:  machine.GetRegs(cfg.Lanes),
 	}
@@ -183,8 +192,10 @@ func New(cfg Config, prog isa.Program) (*Machine, error) {
 	}
 	m.backend = cfg.Backend.Resolve()
 	if m.backend == machine.BackendCompiled {
-		m.ops = machine.Compile(m.dec, machine.CompileOptions{}).Ops()
-		m.vec = m.compileVec()
+		m.ops = prog.Ops()
+		if cfg.Tracer == nil {
+			m.vec = m.compileVec()
+		}
 	}
 	built = true
 	return m, nil
@@ -248,6 +259,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 	if budget <= 0 {
 		budget = machine.DefaultMaxCycles
 	}
+	src := m.prog.Source()
 	pc := 0
 	for {
 		if pc < 0 || pc >= len(m.dec) {
@@ -273,7 +285,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 			case m.ops != nil:
 				out, err = m.ops[pc](&m.regs[0], &env)
 			case m.backend == machine.BackendInterp:
-				out, err = machine.Step(&m.regs[0], pc, m.prog[pc], env)
+				out, err = machine.Step(&m.regs[0], pc, src[pc], env)
 			default:
 				out, err = machine.StepDecoded(&m.regs[0], pc, d, &env)
 			}
@@ -339,7 +351,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 			case m.ops != nil:
 				out, err = m.ops[pc](&m.regs[lane], env)
 			case m.backend == machine.BackendInterp:
-				out, err = machine.Step(&m.regs[lane], pc, m.prog[pc], *env)
+				out, err = machine.Step(&m.regs[lane], pc, src[pc], *env)
 			default:
 				out, err = machine.StepDecoded(&m.regs[lane], pc, d, env)
 			}

@@ -50,43 +50,58 @@ func DefaultConfig() Config {
 // Machine is one instruction-flow uni-processor instance.
 type Machine struct {
 	cfg  Config
-	prog isa.Program
-	dec  isa.DecodedProgram
+	prog *machine.Program
 	mem  machine.Memory
-	// backend is the resolved engine; comp is non-nil iff it is compiled.
+	// backend is the resolved engine. A compiled machine runs comp, the
+	// fused block program, when nothing observes individual instructions,
+	// and ops, the threaded per-op chain, when a Tracer or Trace does.
 	backend machine.Backend
 	comp    *machine.CompiledProgram
+	ops     []machine.OpFn
+	// cpu is the fast path's execution state, kept here so an untraced
+	// compiled run allocates nothing.
+	cpu machine.CPU
 }
 
-// New builds a uni-processor loaded with the given program. The program is
-// pre-decoded once here so the cycle loop dispatches on lowered ops, and
-// the data bank comes from the shared pool; call Release when done with
-// the machine to recycle it.
+// New builds a uni-processor loaded with the given program: NewLoaded on a
+// freshly loaded artefact.
 func New(cfg Config, prog isa.Program) (*Machine, error) {
+	p, err := machine.Load(prog)
+	if err != nil {
+		return nil, fmt.Errorf("uniproc: %w", err)
+	}
+	return NewLoaded(cfg, p)
+}
+
+// NewLoaded builds a uni-processor running a loaded program artefact,
+// which may be shared with other machines and the static checker. The data
+// bank comes from the shared pool; call Release when done with the machine
+// to recycle it.
+func NewLoaded(cfg Config, prog *machine.Program) (*Machine, error) {
 	if cfg.MemWords <= 0 {
 		return nil, fmt.Errorf("uniproc: data memory must have at least one word, got %d", cfg.MemWords)
 	}
 	if cfg.MemLatency < 0 || cfg.BranchPenalty < 0 {
 		return nil, fmt.Errorf("uniproc: negative timing parameters")
 	}
-	if len(prog) == 0 {
+	if prog.Len() == 0 {
 		return nil, fmt.Errorf("uniproc: empty program")
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("uniproc: %w", err)
 	}
 	mem, err := machine.GetMemory(cfg.MemWords)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, prog: prog, dec: isa.Predecode(prog),
-		backend: cfg.Backend.Resolve()}
+	m := &Machine{cfg: cfg, prog: prog, backend: cfg.Backend.Resolve()}
 	m.mem = mem
 	if m.backend == machine.BackendCompiled {
-		m.comp = machine.Compile(m.dec, machine.CompileOptions{
-			MemLatency:    cfg.MemLatency,
-			BranchPenalty: cfg.BranchPenalty,
-		})
+		if cfg.Tracer == nil && cfg.Trace == nil {
+			m.comp = prog.Compiled(machine.CompileOptions{
+				MemLatency:    cfg.MemLatency,
+				BranchPenalty: cfg.BranchPenalty,
+			})
+		} else {
+			m.ops = prog.Ops()
+		}
 	}
 	return m, nil
 }
@@ -102,7 +117,7 @@ func (m *Machine) Release() {
 func (m *Machine) Memory() machine.Memory { return m.mem }
 
 // Program returns the loaded program.
-func (m *Machine) Program() isa.Program { return m.prog }
+func (m *Machine) Program() isa.Program { return m.prog.Source() }
 
 // Run executes the program to HALT (or until it falls off the end) and
 // returns the run statistics. Memory operations cost one extra cycle for
@@ -121,9 +136,10 @@ func (m *Machine) Run() (machine.Stats, error) {
 	if budget <= 0 {
 		budget = machine.DefaultMaxCycles
 	}
-	if m.comp != nil && m.cfg.Tracer == nil && m.cfg.Trace == nil {
-		cpu := machine.CPU{Mem: m.mem}
-		failPC, err := m.comp.Run(&cpu, budget)
+	if m.comp != nil {
+		cpu := &m.cpu
+		*cpu = machine.CPU{Mem: m.mem}
+		failPC, err := m.comp.Run(cpu, budget)
 		if err != nil {
 			if errors.Is(err, machine.ErrDeadline) {
 				return cpu.Stats, fmt.Errorf("uniproc: %w after %d cycles", machine.ErrDeadline, cpu.Stats.Cycles)
@@ -133,10 +149,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 		return cpu.Stats, nil
 	}
 
-	var ops []machine.OpFn
-	if m.comp != nil {
-		ops = m.comp.Ops()
-	}
+	ops, src, dec := m.ops, m.prog.Source(), m.prog.Decoded()
 	var regs machine.Regs
 	tr := m.cfg.Tracer
 	env := machine.Env{
@@ -147,13 +160,13 @@ func (m *Machine) Run() (machine.Stats, error) {
 	}
 	pc := 0
 	for {
-		if pc < 0 || pc >= len(m.dec) {
+		if pc < 0 || pc >= len(dec) {
 			return stats, nil // fell off the program: implicit halt
 		}
 		if stats.Cycles >= budget {
 			return stats, fmt.Errorf("uniproc: %w after %d cycles", machine.ErrDeadline, stats.Cycles)
 		}
-		d := &m.dec[pc]
+		d := &dec[pc]
 		if m.cfg.Trace != nil {
 			m.cfg.Trace(pc, d.Instruction(), regs)
 		}
@@ -165,7 +178,7 @@ func (m *Machine) Run() (machine.Stats, error) {
 		case ops != nil:
 			out, err = ops[pc](&regs, &env)
 		case m.backend == machine.BackendInterp:
-			out, err = machine.Step(&regs, pc, m.prog[pc], env)
+			out, err = machine.Step(&regs, pc, src[pc], env)
 		default:
 			out, err = machine.StepDecoded(&regs, pc, d, &env)
 		}

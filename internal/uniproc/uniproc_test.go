@@ -163,3 +163,38 @@ func TestProgramAccessor(t *testing.T) {
 		t.Error("Program() accessor wrong")
 	}
 }
+
+// TestCompiledRunAllocatesNothing pins the compiled fast path's per-run
+// cost at zero allocations: the execution state lives in the machine, so
+// an untraced Run only steps the fused block program.
+func TestCompiledRunAllocatesNothing(t *testing.T) {
+	prog := isa.MustAssemble(`
+        ldi  r1, 0
+        ldi  r2, 64
+loop:   beq  r1, r2, done
+        ld   r3, [r1+0]
+        addi r3, r3, 5
+        st   r3, [r1+0]
+        addi r1, r1, 1
+        jmp  loop
+done:   halt
+`)
+	m, err := New(Config{MemWords: 128}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	want, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		got, err := m.Run()
+		if err != nil || got != want {
+			t.Fatalf("rerun = %+v, %v; want %+v", got, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("compiled Run allocates %.0f times per run, want 0", allocs)
+	}
+}
